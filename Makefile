@@ -1,7 +1,8 @@
 # Verification lanes. `make check` is the full pre-merge gate:
-# vet + the regular test suite + the race-detector lane that exercises
-# the concurrent batch engine against live insert traffic + the crash
-# lane that re-runs the WAL crash/recovery sweep several times.
+# vet + the regular test suite + the benchmark module's self-test + the
+# race-detector lane that exercises the concurrent batch engine against
+# live insert traffic + the crash lane that re-runs the WAL crash/recovery
+# sweep several times.
 
 GO ?= go
 
@@ -14,13 +15,20 @@ STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 BENCHSTAT_VERSION ?= latest
 
-.PHONY: build test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-json bench-kernels bench-throughput bench-recall server-smoke
+.PHONY: build test perfbench-test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-json bench-kernels bench-throughput bench-recall server-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark (perfbench/) is its own module, so `go test ./...` never
+# builds it. Its self-test (about 2 s, offline) runs every workload at a
+# tiny scale, so a change to an API it uses fails here rather than at
+# benchmark time.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -57,7 +65,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelEquivalence -fuzztime 5s -run '^$$' ./internal/signature
 	$(GO) test -fuzz FuzzSketchEquivalence -fuzztime 5s -run '^$$' ./internal/sketch
 
-check: vet fmt lint test race crash
+check: vet fmt lint test perfbench-test race crash
 
 # fmt fails (and lists the offenders) when any file needs gofmt, so the
 # lane can gate merges; run `gofmt -w .` to fix.
@@ -70,11 +78,10 @@ fmt:
 # The lint lane runs sglint, the repo's own invariant-analyzer suite:
 # the syntactic wave (lock discipline, page pin/unpin pairing, runUpdate
 # undo scopes, atomic counter access, banned APIs) plus the dataflow wave
-# (slab coherence, epoch scan contracts, replica fencing, ctx threading,
-# and the //sglint:hotpath allocation gate) — see DESIGN.md §9. All
-# eleven analyzers share one export-data load per run, and the suite
-# builds from the module itself, so it works offline and needs no
-# `make tools`.
+# (epoch scan contracts, replica fencing, ctx threading, and the
+# //sglint:hotpath allocation gate) — see DESIGN.md §9. All ten analyzers
+# share one export-data load per run, and the suite builds from the module
+# itself, so it works offline and needs no `make tools`.
 lint:
 	$(GO) run ./cmd/sglint ./...
 

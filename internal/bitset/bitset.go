@@ -251,34 +251,6 @@ func (b *Bitset) AndNotCount(o *Bitset) int {
 	return kernAndNotCount(b.words, o.words)
 }
 
-// AndNotCountAtLeast is AndNotCount with an early exit: counting may stop
-// once the running count reaches limit. It returns the count so far and
-// reached == (count >= limit).
-//
-// Contract (shared by every kernel implementation, asserted by the
-// differential harness):
-//
-//   - limit <= 0: returns (0, true) immediately — a non-positive limit is
-//     trivially reached before counting anything. This case is resolved
-//     here, before kernel dispatch; kernels only ever see limit > 0.
-//   - reached == false: the returned count is exact (and < limit).
-//   - reached == true: the returned count is in [limit, exact] — a lower
-//     bound on the true count. Implementations exit at block granularity
-//     (or not at all: exact counts satisfy the contract too), so callers
-//     must not interpret the clamped value as exact.
-//
-// This is the kernel behind the fused mindist-with-threshold bound: once a
-// directory entry's lower bound exceeds the pruning radius, the remaining
-// words need not be counted.
-func (b *Bitset) AndNotCountAtLeast(o *Bitset, limit int) (int, bool) {
-	b.mustMatch(o)
-	if limit <= 0 {
-		return 0, true
-	}
-	c := kernAndNotCountAtLeast(b.words, o.words, limit)
-	return c, c >= limit
-}
-
 // OrCount returns |b | o| without allocating.
 func (b *Bitset) OrCount(o *Bitset) int {
 	b.mustMatch(o)
@@ -291,19 +263,6 @@ func (b *Bitset) OrCount(o *Bitset) int {
 func (b *Bitset) HammingDistance(o *Bitset) int {
 	b.mustMatch(o)
 	return kernXorCount(b.words, o.words)
-}
-
-// HammingAtLeast is HammingDistance with an early exit, under exactly the
-// AndNotCountAtLeast contract: limit <= 0 returns (0, true) before any
-// counting; reached == false means the returned distance is exact; reached
-// == true means it is a lower bound in [limit, exact distance].
-func (b *Bitset) HammingAtLeast(o *Bitset, limit int) (int, bool) {
-	b.mustMatch(o)
-	if limit <= 0 {
-		return 0, true
-	}
-	c := kernXorCountAtLeast(b.words, o.words, limit)
-	return c, c >= limit
 }
 
 // EnlargementCount returns |o &^ b|: how many new bits b would gain if o

@@ -2,8 +2,8 @@ package bitset
 
 // This file is the portable half of the counting-kernel layer. Every
 // popcount-of-a-combination operation the similarity queries run — Count,
-// AndCount, AndNotCount, OrCount, XOR/Hamming, their early-exit *AtLeast
-// variants, and the batched slab forms — funnels through one kern* dispatch
+// AndCount, AndNotCount, OrCount, XOR/Hamming and the batched slab forms —
+// funnels through one kern* dispatch
 // function. On amd64 with POPCNT (and AVX2 for the slab kernels) the
 // dispatchers select hand-written assembly (popcnt_amd64.s); everywhere
 // else, and when the SGTREE_NO_ASM environment variable is set, they run
@@ -55,12 +55,6 @@ func AlignedWords(n int) []uint64 {
 // Contracts shared by all implementations:
 //
 //   - pairwise kernels require len(a) == len(b) (the callers' mustMatch);
-//   - *AtLeast kernels are called with limit > 0 only — the limit <= 0
-//     case is resolved by the Bitset methods before dispatch — and return
-//     a count c with: c == the exact count when c < limit, and
-//     limit <= c <= exact when counting stopped early (implementations
-//     may stop at any block granularity once the running count reaches
-//     limit, or not stop at all: the exact count satisfies the contract);
 //   - slab kernels count against each of the len(out) rows of
 //     slab[r*stride : r*stride+len(q)]; words of a row beyond len(q) are
 //     ignored (callers keep row padding zeroed, so implementations that
@@ -70,7 +64,6 @@ type kernelImpl struct {
 
 	count                                    func(a []uint64) int
 	andCount, andNotCount, orCount, xorCount func(a, b []uint64) int
-	andNotCountAtLeast, xorCountAtLeast      func(a, b []uint64, limit int) int
 
 	andCountSlab, andNotCountSlab, xorCountSlab func(q, slab []uint64, stride int, out []int32)
 }
@@ -84,17 +77,15 @@ var kernelImpls = []kernelImpl{goKernels}
 
 // goKernels is the portable 4x-unrolled implementation.
 var goKernels = kernelImpl{
-	name:               "generic-go",
-	count:              countGo,
-	andCount:           andCountGo,
-	andNotCount:        andNotCountGo,
-	orCount:            orCountGo,
-	xorCount:           xorCountGo,
-	andNotCountAtLeast: andNotCountAtLeastGo,
-	xorCountAtLeast:    xorCountAtLeastGo,
-	andCountSlab:       andCountSlabGo,
-	andNotCountSlab:    andNotCountSlabGo,
-	xorCountSlab:       xorCountSlabGo,
+	name:            "generic-go",
+	count:           countGo,
+	andCount:        andCountGo,
+	andNotCount:     andNotCountGo,
+	orCount:         orCountGo,
+	xorCount:        xorCountGo,
+	andCountSlab:    andCountSlabGo,
+	andNotCountSlab: andNotCountSlabGo,
+	xorCountSlab:    xorCountSlabGo,
 }
 
 // shortKernelWords is the length below which the pairwise Go kernels use a
@@ -218,58 +209,6 @@ func xorCountGo(a, b []uint64) int {
 		c3 += bits.OnesCount64(a[i+3] ^ b[i+3])
 	}
 	c := c0 + c1 + c2 + c3
-	for ; i < len(b); i++ {
-		c += bits.OnesCount64(a[i] ^ b[i])
-	}
-	return c
-}
-
-// andNotCountAtLeastGo counts |a &^ b| with a block-granular early exit:
-// the limit test runs once per unrolled block of four words, so a count
-// that crosses limit mid-block returns the whole block's contribution
-// (still within the [limit, exact] clamp contract). limit > 0 is the
-// caller's responsibility. Short inputs skip the early exit entirely and
-// return the exact count, which also satisfies the contract.
-func andNotCountAtLeastGo(a, b []uint64, limit int) int {
-	if len(b) < shortKernelWords {
-		return andNotCountGo(a, b)
-	}
-	a = a[:len(b)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(b); i += 4 {
-		c += bits.OnesCount64(a[i]&^b[i]) +
-			bits.OnesCount64(a[i+1]&^b[i+1]) +
-			bits.OnesCount64(a[i+2]&^b[i+2]) +
-			bits.OnesCount64(a[i+3]&^b[i+3])
-		if c >= limit {
-			return c
-		}
-	}
-	for ; i < len(b); i++ {
-		c += bits.OnesCount64(a[i] &^ b[i])
-	}
-	return c
-}
-
-// xorCountAtLeastGo is the Hamming-distance counterpart of
-// andNotCountAtLeastGo, with the same block-granular early exit.
-func xorCountAtLeastGo(a, b []uint64, limit int) int {
-	if len(b) < shortKernelWords {
-		return xorCountGo(a, b)
-	}
-	a = a[:len(b)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(b); i += 4 {
-		c += bits.OnesCount64(a[i]^b[i]) +
-			bits.OnesCount64(a[i+1]^b[i+1]) +
-			bits.OnesCount64(a[i+2]^b[i+2]) +
-			bits.OnesCount64(a[i+3]^b[i+3])
-		if c >= limit {
-			return c
-		}
-	}
 	for ; i < len(b); i++ {
 		c += bits.OnesCount64(a[i] ^ b[i])
 	}

@@ -4,8 +4,8 @@ package bitset
 
 import "os"
 
-// Assembly kernels (popcnt_amd64.s). The pairwise and *AtLeast kernels
-// need POPCNT only; the slab kernels additionally need AVX2 (they use the
+// Assembly kernels (popcnt_amd64.s). The pairwise kernels need POPCNT
+// only; the slab kernels additionally need AVX2 (they use the
 // VPSHUFB nibble-lookup popcount). Selection happens once at init:
 // dispatch never re-checks features on the hot path.
 
@@ -23,12 +23,6 @@ func asmOrCount(a, b []uint64) int
 
 //go:noescape
 func asmXorCount(a, b []uint64) int
-
-//go:noescape
-func asmAndNotCountAtLeast(a, b []uint64, limit int) int
-
-//go:noescape
-func asmXorCountAtLeast(a, b []uint64, limit int) int
 
 //go:noescape
 func asmAndCountSlab(q, slab *uint64, out *int32, stride, rows int)
@@ -63,16 +57,14 @@ var (
 // wrappers instead: with only one implementation there, an indirect call
 // would be pure overhead.)
 var (
-	kernCount              = countGo
-	kernAndCount           = andCountGo
-	kernAndNotCount        = andNotCountGo
-	kernOrCount            = orCountGo
-	kernXorCount           = xorCountGo
-	kernAndNotCountAtLeast = andNotCountAtLeastGo
-	kernXorCountAtLeast    = xorCountAtLeastGo
-	kernAndCountSlab       = andCountSlabGo
-	kernAndNotCountSlab    = andNotCountSlabGo
-	kernXorCountSlab       = xorCountSlabGo
+	kernCount           = countGo
+	kernAndCount        = andCountGo
+	kernAndNotCount     = andNotCountGo
+	kernOrCount         = orCountGo
+	kernXorCount        = xorCountGo
+	kernAndCountSlab    = andCountSlabGo
+	kernAndNotCountSlab = andNotCountSlabGo
+	kernXorCountSlab    = xorCountSlabGo
 )
 
 func init() {
@@ -89,8 +81,6 @@ func init() {
 		kernAndNotCount = asmAndNotCount
 		kernOrCount = asmOrCount
 		kernXorCount = asmXorCount
-		kernAndNotCountAtLeast = asmAndNotCountAtLeast
-		kernXorCountAtLeast = asmXorCountAtLeast
 	}
 	if useAVX2 {
 		kernAndCountSlab = andCountSlabAsm
@@ -99,14 +89,12 @@ func init() {
 	}
 	if hasPOPCNT {
 		impl := kernelImpl{
-			name:               "amd64-popcnt",
-			count:              asmCount,
-			andCount:           asmAndCount,
-			andNotCount:        asmAndNotCount,
-			orCount:            asmOrCount,
-			xorCount:           asmXorCount,
-			andNotCountAtLeast: asmAndNotCountAtLeast,
-			xorCountAtLeast:    asmXorCountAtLeast,
+			name:        "amd64-popcnt",
+			count:       asmCount,
+			andCount:    asmAndCount,
+			andNotCount: asmAndNotCount,
+			orCount:     asmOrCount,
+			xorCount:    asmXorCount,
 		}
 		if hasAVX2 {
 			impl.name = "amd64-avx2+popcnt"
@@ -152,10 +140,8 @@ func Kernels() string {
 }
 
 // FastSlabKernels reports whether the batched slab kernels are vectorized
-// on this machine (and not disabled via SGTREE_NO_ASM). Callers that trade
-// per-entry early-exit scans for batched slab scans should only do so when
-// this is true: the generic slab loop computes exact counts with no early
-// exit, so without vector hardware the per-entry kernels win.
+// on this machine (and not disabled via SGTREE_NO_ASM); otherwise they run
+// the generic Go slab loops. Diagnostics and benchmark labels report it.
 func FastSlabKernels() bool { return useAVX2 }
 
 // The asm slab entry points take raw pointers; these adapters apply the

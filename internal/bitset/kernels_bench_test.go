@@ -122,31 +122,8 @@ func BenchmarkKernelXorCount(b *testing.B) {
 	}
 }
 
-// The AtLeast benchmarks measure both regimes of the early-exit kernels:
-// "miss" (limit unreachable, full scan — the overhead of the per-block
-// comparisons) and "hit" (limit reached in the first block — the payoff).
-func BenchmarkKernelAndNotCountAtLeast(b *testing.B) {
-	for _, n := range benchWordSizes {
-		x, y := benchWords(n, 1), benchWords(n, 2)
-		exact := kernAndNotCount(x, y)
-		b.Run(benchLabel(n)+"/miss", func(b *testing.B) {
-			b.SetBytes(int64(16 * n))
-			for i := 0; i < b.N; i++ {
-				benchSink = kernAndNotCountAtLeast(x, y, exact+1)
-			}
-		})
-		b.Run(benchLabel(n)+"/hit", func(b *testing.B) {
-			b.SetBytes(int64(16 * n))
-			for i := 0; i < b.N; i++ {
-				benchSink = kernAndNotCountAtLeast(x, y, 1)
-			}
-		})
-	}
-}
-
 // Slab benchmarks: one batched pass over a 16-row padded slab versus 16
-// per-entry kernel calls on the same rows — the comparison the core
-// traversals make when picking an engine.
+// per-entry kernel calls on the same rows.
 const benchSlabRows = 16
 
 func benchSlab(stride, rows int, seed int64) []uint64 {

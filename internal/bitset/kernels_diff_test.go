@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -83,50 +82,6 @@ func checkPairwise(t *testing.T, label string, a, b []uint64) {
 	}
 }
 
-// checkAtLeast verifies the *AtLeast clamp contract for one result: when
-// the exact count is below limit the kernel must return it exactly; once
-// the limit is reachable the result may stop anywhere in [limit, exact].
-// Kernels are only ever called with limit > 0 (the Bitset methods resolve
-// limit <= 0 first — TestAtLeastLimitZero).
-func checkAtLeast(t *testing.T, label, implName string, got, exact, limit int) {
-	t.Helper()
-	if exact >= limit {
-		if got < limit || got > exact {
-			t.Errorf("%s: %s atLeast(limit=%d) = %d, want in [%d, %d]", label, implName, limit, got, limit, exact)
-		}
-	} else if got != exact {
-		t.Errorf("%s: %s atLeast(limit=%d) = %d, want exact %d", label, implName, limit, got, exact)
-	}
-}
-
-// atLeastLimits returns the limit values worth probing for a given exact
-// count: the contract boundaries and the degenerate extremes.
-func atLeastLimits(exact int) []int {
-	return []int{1, exact - 1, exact, exact + 1, exact * 2, math.MaxInt}
-}
-
-func checkAtLeastKernels(t *testing.T, label string, a, b []uint64) {
-	t.Helper()
-	exactAndNot := naiveAndNotCount(a, b)
-	exactXor := naiveXorCount(a, b)
-	for _, impl := range kernelImpls {
-		for _, limit := range atLeastLimits(exactAndNot) {
-			if limit <= 0 {
-				continue
-			}
-			got := impl.andNotCountAtLeast(a, b, limit)
-			checkAtLeast(t, label, impl.name+"/andNot", got, exactAndNot, limit)
-		}
-		for _, limit := range atLeastLimits(exactXor) {
-			if limit <= 0 {
-				continue
-			}
-			got := impl.xorCountAtLeast(a, b, limit)
-			checkAtLeast(t, label, impl.name+"/xor", got, exactXor, limit)
-		}
-	}
-}
-
 // --- input generators ---
 
 // patterns returns the SIMD-hostile word patterns for a given word count:
@@ -172,7 +127,6 @@ func TestKernelDifferentialExhaustive(t *testing.T) {
 			for bi, b := range pats {
 				label := labelFor(words, ai, bi)
 				checkPairwise(t, label, a, b)
-				checkAtLeastKernels(t, label, a, b)
 			}
 		}
 	}
@@ -212,7 +166,6 @@ func TestKernelDifferentialBitLengths(t *testing.T) {
 			}
 		}
 		checkPairwise(t, "bits="+itoa(n), a.Words(), b.Words())
-		checkAtLeastKernels(t, "bits="+itoa(n), a.Words(), b.Words())
 
 		// Cross-check the Bitset methods themselves (they route through the
 		// selected kernel, which may differ from any tested above when
@@ -225,20 +178,6 @@ func TestKernelDifferentialBitLengths(t *testing.T) {
 		}
 		if got, want := a.HammingDistance(b), naiveXorCount(a.Words(), b.Words()); got != want {
 			t.Fatalf("bits=%d: HammingDistance = %d, oracle %d", n, got, want)
-		}
-		exact := naiveAndNotCount(a.Words(), b.Words())
-		for _, limit := range atLeastLimits(exact) {
-			got, reached := a.AndNotCountAtLeast(b, limit)
-			if limit <= 0 {
-				if got != 0 || !reached {
-					t.Fatalf("bits=%d limit=%d: AndNotCountAtLeast = (%d, %v), want (0, true)", n, limit, got, reached)
-				}
-				continue
-			}
-			if reached != (got >= limit) {
-				t.Fatalf("bits=%d limit=%d: reached=%v inconsistent with count %d", n, limit, reached, got)
-			}
-			checkAtLeast(t, "bits="+itoa(n), "Bitset.AndNotCountAtLeast", got, exact, limit)
 		}
 	}
 }
@@ -261,34 +200,12 @@ func TestKernelMisalignedViews(t *testing.T) {
 			b[i] = rng.Uint64()
 		}
 		checkPairwise(t, "off="+itoa(off), a, b)
-		checkAtLeastKernels(t, "off="+itoa(off), a, b)
 
 		va := View(a, words*wordBits)
 		vb := View(b, words*wordBits)
 		if got, want := va.HammingDistance(&vb), naiveXorCount(a, b); got != want {
 			t.Fatalf("off=%d: misaligned View HammingDistance = %d, oracle %d", off, got, want)
 		}
-	}
-}
-
-// TestAtLeastLimitZero pins the documented limit <= 0 behaviour of the
-// Bitset early-exit methods: (0, true) immediately, no counting, for zero
-// and negative limits — the case is resolved before kernel dispatch.
-func TestAtLeastLimitZero(t *testing.T) {
-	a := FromPositions(130, []int{0, 64, 129})
-	b := New(130)
-	for _, limit := range []int{0, -1, math.MinInt} {
-		if got, reached := a.AndNotCountAtLeast(b, limit); got != 0 || !reached {
-			t.Errorf("AndNotCountAtLeast(limit=%d) = (%d, %v), want (0, true)", limit, got, reached)
-		}
-		if got, reached := a.HammingAtLeast(b, limit); got != 0 || !reached {
-			t.Errorf("HammingAtLeast(limit=%d) = (%d, %v), want (0, true)", limit, got, reached)
-		}
-	}
-	// And the smallest positive limit still counts: the kernels are never
-	// handed a non-positive limit.
-	if got, reached := a.AndNotCountAtLeast(b, 1); got < 1 || !reached {
-		t.Errorf("AndNotCountAtLeast(limit=1) = (%d, %v), want count >= 1, reached", got, reached)
 	}
 }
 

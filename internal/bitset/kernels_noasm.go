@@ -13,8 +13,7 @@ package bitset
 func Kernels() string { return "generic-go" }
 
 // FastSlabKernels reports whether the batched slab kernels are vectorized;
-// never on the portable build, so scan layers keep their per-entry
-// early-exit kernels.
+// never on the portable build.
 func FastSlabKernels() bool { return false }
 
 func kernCount(a []uint64) int          { return countGo(a) }
@@ -22,14 +21,6 @@ func kernAndCount(a, b []uint64) int    { return andCountGo(a, b) }
 func kernAndNotCount(a, b []uint64) int { return andNotCountGo(a, b) }
 func kernOrCount(a, b []uint64) int     { return orCountGo(a, b) }
 func kernXorCount(a, b []uint64) int    { return xorCountGo(a, b) }
-
-func kernAndNotCountAtLeast(a, b []uint64, limit int) int {
-	return andNotCountAtLeastGo(a, b, limit)
-}
-
-func kernXorCountAtLeast(a, b []uint64, limit int) int {
-	return xorCountAtLeastGo(a, b, limit)
-}
 
 func kernAndCountSlab(q, slab []uint64, stride int, out []int32) {
 	andCountSlabGo(q, slab, stride, out)

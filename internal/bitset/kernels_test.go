@@ -1,95 +1,9 @@
 package bitset
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
-
-// kernelPair builds two random bitmaps of the same length with correlated
-// content (shared prefix of set bits) so early-exit kernels see both small
-// and large counts.
-func kernelPair(rng *rand.Rand, n int) (*Bitset, *Bitset) {
-	a, b := New(n), New(n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(3) != 0 {
-			a.Set(i)
-		}
-		if rng.Intn(3) != 0 {
-			b.Set(i)
-		}
-	}
-	return a, b
-}
-
-func TestAndNotCountAtLeast(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		a, b := kernelPair(rng, n)
-		exact := a.AndNotCount(b)
-		for _, limit := range []int{-1, 0, 1, exact - 1, exact, exact + 1, n + 1} {
-			got, reached := a.AndNotCountAtLeast(b, limit)
-			if limit <= 0 {
-				if got != 0 || !reached {
-					t.Fatalf("n=%d limit=%d: got (%d,%v), want (0,true)", n, limit, got, reached)
-				}
-				continue
-			}
-			if reached != (exact >= limit) {
-				t.Fatalf("n=%d limit=%d exact=%d: reached=%v", n, limit, exact, reached)
-			}
-			if reached {
-				// A clamped count is a valid lower bound in [limit, exact].
-				if got < limit || got > exact {
-					t.Fatalf("n=%d limit=%d: clamped count %d outside [%d,%d]", n, limit, got, limit, exact)
-				}
-			} else if got != exact {
-				t.Fatalf("n=%d limit=%d: unreached count %d != exact %d", n, limit, got, exact)
-			}
-		}
-	}
-}
-
-func TestHammingAtLeast(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		a, b := kernelPair(rng, n)
-		exact := a.HammingDistance(b)
-		for _, limit := range []int{-1, 0, 1, exact - 1, exact, exact + 1, n + 1} {
-			got, reached := a.HammingAtLeast(b, limit)
-			if limit <= 0 {
-				if got != 0 || !reached {
-					t.Fatalf("n=%d limit=%d: got (%d,%v), want (0,true)", n, limit, got, reached)
-				}
-				continue
-			}
-			if reached != (exact >= limit) {
-				t.Fatalf("n=%d limit=%d exact=%d: reached=%v", n, limit, exact, reached)
-			}
-			if reached {
-				if got < limit || got > exact {
-					t.Fatalf("n=%d limit=%d: clamped count %d outside [%d,%d]", n, limit, got, limit, exact)
-				}
-			} else if got != exact {
-				t.Fatalf("n=%d limit=%d: unreached count %d != exact %d", n, limit, got, exact)
-			}
-		}
-	}
-}
-
-func TestAtLeastKernelsWithMaxLimit(t *testing.T) {
-	// MaxInt limits (from a +Inf threshold) must degrade to exact counts.
-	rng := rand.New(rand.NewSource(9))
-	a, b := kernelPair(rng, 500)
-	if got, reached := a.AndNotCountAtLeast(b, math.MaxInt); reached || got != a.AndNotCount(b) {
-		t.Fatalf("AndNotCountAtLeast(MaxInt) = (%d,%v)", got, reached)
-	}
-	if got, reached := a.HammingAtLeast(b, math.MaxInt); reached || got != a.HammingDistance(b) {
-		t.Fatalf("HammingAtLeast(MaxInt) = (%d,%v)", got, reached)
-	}
-}
 
 func TestView(t *testing.T) {
 	words := []uint64{0, 0}

@@ -302,117 +302,6 @@ xordone:
 	MOVQ AX, ret+48(FP)
 	RET
 
-// func asmAndNotCountAtLeast(a, b []uint64, limit int) int
-// Counts |a &^ b| with a block-granular early exit: the running count is
-// compared against limit once per 4-word block, matching the contract of
-// andNotCountAtLeastGo (a clamped result is in [limit, exact]). The
-// caller guarantees limit > 0; a math.MaxInt limit never triggers the
-// exit, so the kernel degenerates to the exact count.
-TEXT ·asmAndNotCountAtLeast(SB), NOSPLIT, $0-64
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ b_len+32(FP), CX
-	MOVQ limit+48(FP), R11
-	XORQ AX, AX
-
-anl4:
-	CMPQ CX, $4
-	JLT  anltail
-	MOVQ 0(DI), DX
-	MOVQ 8(DI), R8
-	MOVQ 16(DI), R12
-	MOVQ 24(DI), R13
-	NOTQ DX
-	NOTQ R8
-	NOTQ R12
-	NOTQ R13
-	ANDQ 0(SI), DX
-	ANDQ 8(SI), R8
-	ANDQ 16(SI), R12
-	ANDQ 24(SI), R13
-	POPCNTQ DX, DX
-	POPCNTQ R8, R8
-	POPCNTQ R12, R12
-	POPCNTQ R13, R13
-	ADDQ DX, AX
-	ADDQ R8, AX
-	ADDQ R12, AX
-	ADDQ R13, AX
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	CMPQ AX, R11
-	JGE  anldone
-	JMP  anl4
-
-anltail:
-	TESTQ CX, CX
-	JZ    anldone
-	MOVQ  0(DI), DX
-	NOTQ  DX
-	ANDQ  0(SI), DX
-	POPCNTQ DX, DX
-	ADDQ DX, AX
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  anltail
-
-anldone:
-	MOVQ AX, ret+56(FP)
-	RET
-
-// func asmXorCountAtLeast(a, b []uint64, limit int) int
-// Hamming distance with the same block-granular early exit.
-TEXT ·asmXorCountAtLeast(SB), NOSPLIT, $0-64
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ b_len+32(FP), CX
-	MOVQ limit+48(FP), R11
-	XORQ AX, AX
-
-xal4:
-	CMPQ CX, $4
-	JLT  xaltail
-	MOVQ 0(SI), DX
-	MOVQ 8(SI), R8
-	MOVQ 16(SI), R12
-	MOVQ 24(SI), R13
-	XORQ 0(DI), DX
-	XORQ 8(DI), R8
-	XORQ 16(DI), R12
-	XORQ 24(DI), R13
-	POPCNTQ DX, DX
-	POPCNTQ R8, R8
-	POPCNTQ R12, R12
-	POPCNTQ R13, R13
-	ADDQ DX, AX
-	ADDQ R8, AX
-	ADDQ R12, AX
-	ADDQ R13, AX
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $4, CX
-	CMPQ AX, R11
-	JGE  xaldone
-	JMP  xal4
-
-xaltail:
-	TESTQ CX, CX
-	JZ    xaldone
-	MOVQ  0(SI), DX
-	XORQ  0(DI), DX
-	POPCNTQ DX, DX
-	ADDQ DX, AX
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  xaltail
-
-xaldone:
-	MOVQ AX, ret+56(FP)
-	RET
-
 // --- AVX2 slab kernels ---
 
 // Byte-wise popcount lookup table for VPSHUFB: entry i holds the number

@@ -181,17 +181,9 @@ func (e *executor) scanLeafKNN(id storage.PageID, q signature.Signature, acc *kn
 		//sglint:alloc error path: boxing the id allocates only on a corrupt candidate set
 		return fmt.Errorf("core: candidate page %d is not a leaf", id)
 	}
-	if e.slabDistances(n, q) {
-		for i := range n.entries {
-			if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-				acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-			}
-		}
-		return nil
-	}
+	e.slabDistances(n, q)
 	for i := range n.entries {
-		d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-		if !failed {
+		if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
 			acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
 		}
 	}
@@ -211,16 +203,9 @@ func (e *executor) scanLeafRange(id storage.PageID, q signature.Signature, eps f
 		//sglint:alloc error path: boxing the id allocates only on a corrupt candidate set
 		return fmt.Errorf("core: candidate page %d is not a leaf", id)
 	}
-	if e.slabDistances(n, q) {
-		for i := range n.entries {
-			if d := e.bounds[i]; !distFails(d, eps, false) {
-				*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
-			}
-		}
-		return nil
-	}
+	e.slabDistances(n, q)
 	for i := range n.entries {
-		if d, failed := e.compareWithin(q, n.entries[i].sig, eps, false); !failed {
+		if d := e.bounds[i]; !distFails(d, eps, false) {
 			*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
 		}
 	}

@@ -125,10 +125,8 @@ func (t *Tree) deleteRec(n *node, sig signature.Signature, tid dataset.TID, orph
 			n.removeEntry(i)
 		} else {
 			// Tighten: deletions can shrink covers and cardinality ranges,
-			// so recompute both exactly. The replacement signature lives
-			// outside the decoded slab, so the slab row no longer matches.
+			// so recompute both exactly.
 			n.entries[i] = child.parentEntry(t.opts.SignatureLength)
-			n.dropSlab()
 		}
 		dis, err := t.finishNodeUpdate(n, orphans)
 		return true, dis, err

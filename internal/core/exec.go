@@ -151,23 +151,6 @@ func (e *executor) visitIn(tr *Tree, id storage.PageID) (*node, error) {
 	return n, nil
 }
 
-// bound computes the lower-bound distance between the query and a
-// directory entry, counting the entry as tested.
-func (e *executor) bound(q signature.Signature, ent *entry) float64 {
-	e.stats.EntriesTested++
-	return e.t.entryMinDist(q, ent)
-}
-
-// boundWithin is bound fused with the pruning test against threshold thr:
-// it returns the lower bound (clamped when the early-exit kernel proved
-// prunability before finishing the popcount) and whether the entry's
-// subtree can be skipped. strict selects the comparison the caller prunes
-// under (>= thr) versus the inclusive form (> thr).
-func (e *executor) boundWithin(q signature.Signature, ent *entry, thr float64, strict bool) (float64, bool) {
-	e.stats.EntriesTested++
-	return e.t.entryMinDistWithin(q, ent, thr, strict)
-}
-
 // testEntry accounts a directory-entry predicate evaluation.
 func (e *executor) testEntry() {
 	e.stats.EntriesTested++
@@ -187,15 +170,6 @@ func (e *executor) prune(child storage.PageID, bound float64) {
 func (e *executor) compare(q, s signature.Signature) float64 {
 	e.stats.DataCompared++
 	return e.t.opts.distance(q, s)
-}
-
-// compareWithin is compare fused with the acceptance test: for Hamming the
-// distance popcount aborts once the candidate is provably rejected under
-// threshold thr. Accepted candidates (failed == false) always carry their
-// exact distance.
-func (e *executor) compareWithin(q, s signature.Signature, thr float64, strict bool) (float64, bool) {
-	e.stats.DataCompared++
-	return e.t.opts.distanceWithin(q, s, thr, strict)
 }
 
 // testData accounts a leaf predicate evaluation.
@@ -283,51 +257,32 @@ func (e *executor) rangeWalk(id storage.PageID, q signature.Signature, eps float
 		return err
 	}
 	if n.leaf {
-		if e.slabDistances(n, q) {
-			for i := range n.entries {
-				if d := e.bounds[i]; !distFails(d, eps, false) {
-					e.result(n.entries[i].tid, d)
-					*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
-				}
-			}
-			return nil
-		}
+		e.slabDistances(n, q)
 		for i := range n.entries {
-			if d, failed := e.compareWithin(q, n.entries[i].sig, eps, false); !failed {
+			if d := e.bounds[i]; !distFails(d, eps, false) {
 				e.result(n.entries[i].tid, d)
 				*out = append(*out, Neighbor{TID: n.entries[i].tid, Dist: d})
 			}
 		}
 		return nil
 	}
-	if e.slabBounds(n, q) {
-		// e.bounds is clobbered by the recursive calls below, so the
-		// surviving branches are copied into a pooled buffer first.
-		branches := e.getBranches()
-		for i := range n.entries {
-			if md := e.bounds[i]; distFails(md, eps, false) {
-				e.prune(n.entries[i].child, md)
-			} else {
-				branches = append(branches, branchEntry{idx: i, minDist: md})
-			}
-		}
-		for _, b := range branches {
-			if err := e.rangeWalk(n.entries[b.idx].child, q, eps, out); err != nil {
-				e.putBranches(branches)
-				return err
-			}
-		}
-		e.putBranches(branches)
-		return nil
-	}
+	// e.bounds is clobbered by the recursive calls below, so the surviving
+	// branches are copied into a pooled buffer first.
+	e.slabBounds(n, q)
+	branches := e.getBranches()
 	for i := range n.entries {
-		if md, prunable := e.boundWithin(q, &n.entries[i], eps, false); prunable {
+		if md := e.bounds[i]; distFails(md, eps, false) {
 			e.prune(n.entries[i].child, md)
-			continue
+		} else {
+			branches = append(branches, branchEntry{idx: i, minDist: md})
 		}
-		if err := e.rangeWalk(n.entries[i].child, q, eps, out); err != nil {
+	}
+	for _, b := range branches {
+		if err := e.rangeWalk(n.entries[b.idx].child, q, eps, out); err != nil {
+			e.putBranches(branches)
 			return err
 		}
 	}
+	e.putBranches(branches)
 	return nil
 }

@@ -165,35 +165,18 @@ func (it *NNIterator) NextContext(ctx context.Context) (Neighbor, bool, error) {
 		// entry's exact value anyway, which is exactly what the batched
 		// scans produce.
 		if n.leaf {
-			if it.e.slabDistances(n, it.q) {
-				for i := range n.entries {
-					it.pq.push(browseItem{dist: it.e.bounds[i], tid: n.entries[i].tid})
-				}
-				continue
-			}
+			it.e.slabDistances(n, it.q)
 			for i := range n.entries {
-				it.pq.push(browseItem{
-					dist: it.e.compare(it.q, n.entries[i].sig),
-					tid:  n.entries[i].tid,
-				})
+				it.pq.push(browseItem{dist: it.e.bounds[i], tid: n.entries[i].tid})
 			}
 			continue
 		}
-		if it.e.slabBounds(n, it.q) {
-			for i := range n.entries {
-				it.pq.push(browseItem{
-					dist: it.e.bounds[i],
-					node: n.entries[i].child,
-					area: n.entryArea(i),
-				})
-			}
-			continue
-		}
+		it.e.slabBounds(n, it.q)
 		for i := range n.entries {
 			it.pq.push(browseItem{
-				dist: it.e.bound(it.q, &n.entries[i]),
+				dist: it.e.bounds[i],
 				node: n.entries[i].child,
-				area: n.entryArea(i),
+				area: n.areas[i],
 			})
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sgtree/internal/dataset"
@@ -184,5 +186,28 @@ func TestMultipageIOAccounting(t *testing.T) {
 	misses := int(tr.Pool().Stats().Misses)
 	if misses <= stats.NodesAccessed {
 		t.Errorf("%d page misses for %d node accesses; chains not charged", misses, stats.NodesAccessed)
+	}
+}
+
+// TestDecodeBoundsEntryCountByBuffer feeds decodeBuf a 512-byte leaf page
+// whose header claims the format maximum of 0xFFFF entries under an
+// 8000-bit codec. Sizing the slab from that count would allocate about
+// 71 MB before the first entry failed to parse; the decoder must reject
+// the count against the buffer first.
+func TestDecodeBoundsEntryCountByBuffer(t *testing.T) {
+	l := nodeLayout{codec: signature.Codec{Length: 8000}, pageSize: 512, maxPages: 1}
+	buf := make([]byte, 512)
+	buf[0] = flagLeaf
+	binary.LittleEndian.PutUint16(buf[2:4], 0xFFFF)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := l.decodeBuf(7, buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("decoded %d entries from a 512-byte page", len(n.entries))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the page allocated %d bytes", grew)
 	}
 }

@@ -157,27 +157,14 @@ type branchEntry struct {
 	area    int
 }
 
-// orderBranches computes every entry's lower bound and sorts by the Figure
-// 4 key. On slab-scannable nodes the bounds come from one batched kernel
-// pass (all exact); otherwise the per-entry kernel aborts the popcount
-// early for entries already prunable under thr. The buffer comes from the
+// orderBranches computes every entry's exact lower bound in one batched
+// slab pass and sorts by the Figure 4 key. The buffer comes from the
 // executor's per-level free list; callers return it with putBranches.
-// Entries whose bound was clamped by the early exit sort after every
-// survivor (their value is at least the failing limit, survivors' exact
-// values are below it) and always fail the caller's pruning test, so the
-// traversal is identical on both paths — only the bound values observers
-// see for pruned entries differ (exact vs clamped, both valid).
-func (e *executor) orderBranches(n *node, q signature.Signature, thr float64, strict bool) []branchEntry {
+func (e *executor) orderBranches(n *node, q signature.Signature) []branchEntry {
 	branches := e.getBranches()
-	if e.slabBounds(n, q) {
-		for i := range n.entries {
-			branches = append(branches, branchEntry{idx: i, minDist: e.bounds[i], area: n.entryArea(i)})
-		}
-	} else {
-		for i := range n.entries {
-			md, _ := e.boundWithin(q, &n.entries[i], thr, strict)
-			branches = append(branches, branchEntry{idx: i, minDist: md, area: n.entryArea(i)})
-		}
+	e.slabBounds(n, q)
+	for i := range n.entries {
+		branches = append(branches, branchEntry{idx: i, minDist: e.bounds[i], area: n.areas[i]})
 	}
 	sortBranches(branches)
 	return branches
@@ -225,23 +212,15 @@ func (e *executor) dfSearch(id storage.PageID, q signature.Signature, acc *knnAc
 		return err
 	}
 	if n.leaf {
-		if e.slabDistances(n, q) {
-			for i := range n.entries {
-				if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-					acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-				}
-			}
-			return nil
-		}
+		e.slabDistances(n, q)
 		for i := range n.entries {
-			d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-			if !failed {
+			if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
 				acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
 			}
 		}
 		return nil
 	}
-	branches := e.orderBranches(n, q, acc.bound(), true)
+	branches := e.orderBranches(n, q)
 	defer e.putBranches(branches)
 	for bi, b := range branches {
 		if b.minDist >= acc.bound() {
@@ -293,22 +272,11 @@ func (e *executor) dfSearchAll(id storage.PageID, q signature.Signature, best *f
 		return err
 	}
 	if n.leaf {
-		slab := e.slabDistances(n, q)
+		e.slabDistances(n, q)
 		for i := range n.entries {
-			// Inclusive threshold: ties with the current best must be kept,
-			// so a candidate is rejected only once its distance provably
-			// exceeds *best.
-			var d float64
-			var failed bool
-			if slab {
-				d = e.bounds[i]
-				failed = distFails(d, *best, false)
-			} else {
-				d, failed = e.compareWithin(q, n.entries[i].sig, *best, false)
-			}
-			if failed {
-				continue
-			}
+			// Inclusive threshold: ties with the current best are kept,
+			// anything farther is skipped.
+			d := e.bounds[i]
 			switch {
 			case d < *best:
 				*best = d
@@ -320,7 +288,7 @@ func (e *executor) dfSearchAll(id storage.PageID, q signature.Signature, best *f
 		}
 		return nil
 	}
-	branches := e.orderBranches(n, q, *best, false)
+	branches := e.orderBranches(n, q)
 	defer e.putBranches(branches)
 	for bi, b := range branches {
 		if b.minDist > *best {
@@ -430,17 +398,9 @@ func (t *Tree) KNNBestFirstContext(ctx context.Context, q signature.Signature, k
 			return nil, e.stats, e.finish(err)
 		}
 		if n.leaf {
-			if e.slabDistances(n, q) {
-				for i := range n.entries {
-					if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
-						acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
-					}
-				}
-				continue
-			}
+			e.slabDistances(n, q)
 			for i := range n.entries {
-				d, failed := e.compareWithin(q, n.entries[i].sig, acc.bound(), true)
-				if !failed {
+				if d := e.bounds[i]; !distFails(d, acc.bound(), true) {
 					acc.offer(Neighbor{TID: n.entries[i].tid, Dist: d})
 				}
 			}
@@ -448,24 +408,16 @@ func (t *Tree) KNNBestFirstContext(ctx context.Context, q signature.Signature, k
 		}
 		// The loop body only pushes onto the frontier (no recursion, no
 		// nested slab scan), so consuming e.bounds in place is safe.
-		slab := e.slabBounds(n, q)
+		e.slabBounds(n, q)
 		for i := range n.entries {
-			var md float64
-			var prunable bool
-			if slab {
-				md = e.bounds[i]
-				prunable = distFails(md, acc.bound(), true)
+			if md := e.bounds[i]; distFails(md, acc.bound(), true) {
+				e.prune(n.entries[i].child, md)
 			} else {
-				md, prunable = e.boundWithin(q, &n.entries[i], acc.bound(), true)
-			}
-			if !prunable {
 				pq.push(pqItem{
 					id:      n.entries[i].child,
 					minDist: md,
-					area:    n.entryArea(i),
+					area:    n.areas[i],
 				})
-			} else {
-				e.prune(n.entries[i].child, md)
 			}
 		}
 	}

@@ -70,11 +70,10 @@ type node struct {
 	entries []entry
 	cont    []storage.PageID
 
-	// areas caches each entry's signature area (popcount). It is populated
-	// only when the node enters the decoded-node cache — cached nodes are
-	// immutable, so the cache can never go stale — and stays nil on the
-	// mutable nodes the update paths decode privately. Read through
-	// entryArea, never directly.
+	// areas caches each entry's signature area (popcount). The query-path
+	// read (readNodeCached) fills it on every fresh decode, so every node a
+	// traversal sees carries it; it stays nil on the mutable nodes the
+	// update paths decode privately.
 	areas []int
 
 	// slab is the decoded entry signatures as a structure-of-arrays matrix:
@@ -83,28 +82,13 @@ type node struct {
 	// the signature's words kept zero. The base address is 64-byte aligned
 	// and slabStride is a multiple of 4 words, which is what the batched
 	// AVX2 kernels (bitset.*Slab) need to scan whole nodes in one blocked
-	// pass. Entry views alias the same memory, so the slab is valid only
-	// while the entry set decodeBuf produced is intact: any mutation that
-	// removes, replaces, or reorders entries must call dropSlab (appends
-	// are caught by the slabRows != len(entries) check in slabScannable).
+	// pass. Entry views alias the same memory. Only the query path scans
+	// the slab, and it only ever sees nodes exactly as decodeBuf produced
+	// them: update paths mutate the private copies readNode hands out,
+	// whose slab rows may stop matching their entries, and write them back
+	// without ever scanning them.
 	slab       []uint64
 	slabStride int
-	slabRows   int
-}
-
-// slabScannable reports whether the node's entry signatures can be scanned
-// through the slab kernels: a slab exists and still describes exactly the
-// current entries.
-func (n *node) slabScannable() bool {
-	return n.slab != nil && n.slabRows == len(n.entries)
-}
-
-// dropSlab detaches the slab after a mutation that invalidates row order.
-// The entry views keep aliasing the old memory, so signatures stay valid;
-// only the batched scans fall back to per-entry kernels.
-func (n *node) dropSlab() {
-	n.slab = nil
-	n.slabRows = 0
 }
 
 // slabStrideFor picks the slab row stride for signatures of the given word
@@ -118,17 +102,8 @@ func slabStrideFor(words int) int {
 	return (words + 7) &^ 7
 }
 
-// entryArea returns entry i's signature area, using the cached popcount
-// when the node carries one.
-func (n *node) entryArea(i int) int {
-	if n.areas != nil {
-		return n.areas[i]
-	}
-	return n.entries[i].sig.Area()
-}
-
-// cacheAreas populates the per-entry area cache. Only the read path calls
-// it, immediately before publishing the node to the decoded-node cache.
+// cacheAreas populates the per-entry area cache. Only the query-path read
+// calls it, on a fresh decode.
 func (n *node) cacheAreas() {
 	n.areas = make([]int, len(n.entries))
 	for i := range n.entries {
@@ -217,6 +192,12 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 		level: int(buf[1]),
 	}
 	count := int(binary.LittleEndian.Uint16(buf[2:4]))
+	// Every entry takes at least a codec tag byte and its ref, so a count
+	// the buffer cannot hold is corrupt; rejecting it here bounds the
+	// allocations below by the buffer rather than by the header.
+	if count > (len(buf)-nodeHeaderSize)/(1+entryRefSize) {
+		return nil, fmt.Errorf("core: node %d claims %d entries, more than its %d bytes can hold", id, count, len(buf))
+	}
 	n.entries = make([]entry, count)
 	// One contiguous word slab and one view-header slab back every entry
 	// signature: 3 allocations per node instead of 2 per entry, and the
@@ -260,7 +241,6 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 	}
 	n.slab = slab
 	n.slabStride = stride
-	n.slabRows = count
 	return n, nil
 }
 
@@ -315,9 +295,7 @@ func (n *node) parentEntry(length int) entry {
 }
 
 // removeEntry deletes entry i preserving order (order is irrelevant to the
-// structure but stable behaviour simplifies testing). The slab no longer
-// matches the entry rows afterwards, so it is dropped.
+// structure but stable behaviour simplifies testing).
 func (n *node) removeEntry(i int) {
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
-	n.dropSlab()
 }

@@ -224,6 +224,8 @@ func (o Options) minDist(q, e signature.Signature) float64 {
 // entryMinDist returns the lower-bound distance between a query and a
 // directory entry, using the entry's stored cardinality range when the
 // tree maintains statistics (the paper's closing-section optimization).
+// It is the per-entry reference the batched slabBounds must reproduce
+// bit for bit.
 func (t *Tree) entryMinDist(q signature.Signature, e *entry) float64 {
 	if t.opts.CardStats {
 		return signature.MinDistCardRange(t.opts.Metric, q, e.sig, e.lo, e.hi)
@@ -231,41 +233,15 @@ func (t *Tree) entryMinDist(q signature.Signature, e *entry) float64 {
 	return t.opts.minDist(q, e.sig)
 }
 
-// entryMinDistWithin is entryMinDist fused with the pruning test against
-// threshold thr (strict: prunable iff bound >= thr; inclusive: iff bound >
-// thr). On the plain-Hamming configuration the popcount kernel aborts as
-// soon as prunability is proven and the returned bound is clamped (still a
-// valid lower bound); configurations with auxiliary statistics fall back
-// to the full computation, so the fused form is never less exact than the
-// plain one where exactness matters.
-func (t *Tree) entryMinDistWithin(q signature.Signature, e *entry, thr float64, strict bool) (float64, bool) {
-	if t.opts.CardStats {
-		d := signature.MinDistCardRange(t.opts.Metric, q, e.sig, e.lo, e.hi)
-		return d, distFails(d, thr, strict)
-	}
-	if t.opts.FixedCardinality > 0 {
-		d := signature.MinDistFixedCard(t.opts.Metric, q, e.sig, t.opts.FixedCardinality)
-		return d, distFails(d, thr, strict)
-	}
-	return signature.MinDistWithin(t.opts.Metric, q, e.sig, thr, strict)
-}
-
 // distance returns the exact distance between two data signatures.
 func (o Options) distance(q, t signature.Signature) float64 {
 	return signature.Distance(o.Metric, q, t)
 }
 
-// distanceWithin is distance fused with the acceptance test against
-// threshold thr; for Hamming the XOR popcount aborts once rejection is
-// proven. Accepted candidates (failed == false) always carry their exact
-// distance.
-func (o Options) distanceWithin(q, t signature.Signature, thr float64, strict bool) (float64, bool) {
-	return signature.DistanceWithin(o.Metric, q, t, thr, strict)
-}
-
 // distFails reports whether distance d fails threshold thr under the
-// chosen comparison semantics (mirrors the signature package's internal
-// helper).
+// chosen comparison semantics: strict rejects d >= thr (k-NN pruning
+// against the current k-th best), inclusive rejects only d > thr (range
+// radii and all-ties search).
 func distFails(d, thr float64, strict bool) bool {
 	if strict {
 		return d >= thr

@@ -87,10 +87,7 @@ func (t *Tree) maybeForcedReinsert(n *node) (bool, error) {
 			kept = append(kept, n.entries[i])
 		}
 	}
-	// Both outcomes permute the entry order relative to the decoded slab
-	// rows, so the slab is dropped either way.
 	n.entries = kept
-	n.dropSlab()
 	if t.overflows(n) {
 		// Still too big (size-bound overflow): fall back to splitting with
 		// the original entries.

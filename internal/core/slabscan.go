@@ -5,48 +5,29 @@ import (
 	"sgtree/internal/signature"
 )
 
-// Batched node scans. Decoded nodes keep their entry signatures in one
-// padded, cache-line-aligned slab (node.slab); here the executor computes
-// every entry's lower bound or exact distance in a single blocked kernel
-// pass over that slab instead of a per-entry popcount call. Every bound and
-// distance the tree uses is a function of x = |q ∩ e| plus per-entry
-// integers (areas, cardinality ranges), so one bitset.AndCountSlab pass plus
-// the signature package's *FromIntersect scalar finishers covers every
-// configuration; the plain-Hamming cases skip even that and batch the final
-// count directly (AndNotCountSlab for directory bounds, XorCountSlab for
-// leaf distances).
+// Node scans. Decoded nodes keep their entry signatures in one padded,
+// cache-line-aligned slab (node.slab); every query computes a node's entry
+// lower bounds or exact distances in a single blocked kernel pass over that
+// slab — these two functions are the only way a traversal scans a node.
+// Every bound and distance the tree uses is a function of x = |q ∩ e| plus
+// per-entry integers (areas, cardinality ranges), so one
+// bitset.AndCountSlab pass plus the signature package's *FromIntersect
+// scalar finishers covers every configuration; the plain-Hamming cases
+// skip even that and batch the final count directly (AndNotCountSlab for
+// directory bounds, XorCountSlab for leaf distances). The bitset package
+// picks the kernel: AVX2 where available, its Go slab loops otherwise
+// (non-amd64, no AVX2, SGTREE_NO_ASM).
 //
-// Equivalence with the per-entry path is exact, not approximate:
-//
-//   - the finishers are bit-identical to MinDist/Distance for the same
-//     integer inputs (see the signature package), and
-//   - for Hamming the slab path's exact counts give the same prune/accept
-//     verdicts as the early-exit *AtLeast kernels, by the
-//     HammingPruneLimit equivalence (c >= limit ⟺ distFails(float64(c))).
-//
-// The only observable difference is that observers see exact bounds for
-// pruned entries where the early-exit path reports clamped ones; both are
-// valid lower bounds and search results are unaffected (the core property
-// test in slabscan_test.go pins the full equivalence).
+// The finishers are bit-identical to MinDist/Distance for the same integer
+// inputs (see the signature package), so every value is exact and a
+// traversal recovers prune/accept verdicts as distFails(e.bounds[i], thr,
+// strict); slabscan_test.go pins both against the per-entry references.
 //
 // The scratch rules mirror orderBranches: e.counts and e.bounds are
 // executor-level buffers reused across nodes, so traversals must consume
 // them before recursing (rangeWalk copies survivors into a pooled
 // branchEntry buffer first; the leaf loops and the iterative best-first
 // loops consume in place).
-
-// slabScanEnabled gates the batched scans on vectorized slab kernels being
-// active. Without them (non-amd64, no AVX2, or SGTREE_NO_ASM set) the
-// per-entry early-exit kernels are the better engine and the traversals
-// keep their original scan loops.
-var slabScanEnabled = bitset.FastSlabKernels()
-
-// slabScanMaxStride caps the row width (in words) of batched scans. The
-// slab pass always counts whole rows, so for very long signatures the
-// per-entry *AtLeast kernels — which can abort a row part-way once the
-// count proves prunability — win back their advantage; 128 words (1 KiB
-// signatures) is far past the crossover for every benchmarked geometry.
-const slabScanMaxStride = 128
 
 // scanBufs sizes the executor's slab scratch for rows entries.
 func (e *executor) scanBufs(rows int) (counts []int32, bounds []float64) {
@@ -79,17 +60,10 @@ func (e *executor) padQuery(q signature.Signature, stride int) []uint64 {
 
 // slabBounds computes the exact lower-bound distance between q and every
 // directory entry of n in one batched pass, filling e.bounds[i] for entry
-// i. It returns false — leaving e.bounds untouched — when the node or
-// configuration cannot be slab-scanned (stale slab, vector kernels
-// unavailable, oversized rows); callers then run the per-entry path.
-// Prunability under a threshold is recovered exactly as
-// distFails(e.bounds[i], thr, strict), since every bound here is exact.
+// i. n must come from the query-path read (readNodeCached).
 //
 //sglint:hotpath
-func (e *executor) slabBounds(n *node, q signature.Signature) bool {
-	if !slabScanEnabled || !n.slabScannable() || n.slabStride > slabScanMaxStride {
-		return false
-	}
+func (e *executor) slabBounds(n *node, q signature.Signature) {
 	rows := len(n.entries)
 	counts, bounds := e.scanBufs(rows) //sglint:alloc executor scratch grows once to the max row count, then is reused across nodes
 	qp := e.padQuery(q, n.slabStride)  //sglint:alloc pooled query padding, reallocated only when the stride grows
@@ -121,23 +95,16 @@ func (e *executor) slabBounds(n *node, q signature.Signature) bool {
 		}
 	}
 	e.stats.EntriesTested += rows
-	return true
 }
 
 // slabDistances computes the exact distance between q and every leaf entry
-// of n in one batched pass, filling e.bounds[i]. Same fallback contract as
-// slabBounds; additionally the non-Hamming metrics need the per-entry area
-// cache (|t| for the finisher), which only cache-published nodes carry.
+// of n in one batched pass, filling e.bounds[i]. Like slabBounds it takes
+// only query-path nodes, whose area cache supplies |t| to the non-Hamming
+// finishers.
 //
 //sglint:hotpath
-func (e *executor) slabDistances(n *node, q signature.Signature) bool {
-	if !slabScanEnabled || !n.slabScannable() || n.slabStride > slabScanMaxStride {
-		return false
-	}
+func (e *executor) slabDistances(n *node, q signature.Signature) {
 	m := e.t.opts.Metric
-	if m != signature.Hamming && n.areas == nil {
-		return false
-	}
 	rows := len(n.entries)
 	counts, bounds := e.scanBufs(rows) //sglint:alloc executor scratch grows once to the max row count, then is reused across nodes
 	qp := e.padQuery(q, n.slabStride)  //sglint:alloc pooled query padding, reallocated only when the stride grows
@@ -154,5 +121,4 @@ func (e *executor) slabDistances(n *node, q signature.Signature) bool {
 		}
 	}
 	e.stats.DataCompared += rows
-	return true
 }

@@ -36,7 +36,6 @@ func (t *Tree) splitNode(n *node) (*node, error) {
 	g1, g2 = t.rebalanceForSize(g1, g2, n.leaf)
 
 	n.entries = g1
-	n.dropSlab() // g1 is a permuted subset of the decoded rows
 	right, err := t.allocNode(n.leaf, n.level)
 	if err != nil {
 		return nil, err

@@ -373,23 +373,26 @@ func (t *Tree) Refresh() error {
 // L page accesses, which is how multipage nodes show up in the I/O metric.
 
 // readNodeCached is the query-path node read: it consults the decoded-node
-// cache before falling back to readNode, and publishes fresh decodes. The
-// returned node may be shared by concurrent queries and MUST NOT be
-// mutated — update paths use readNode directly, which always hands out a
-// private copy they may modify in place.
+// cache before falling back to readNode, and publishes fresh decodes with
+// their area cache filled (with or without a node cache). The returned
+// node may be shared by concurrent queries and MUST NOT be mutated —
+// update paths use readNode directly, which always hands out a private
+// copy they may modify in place. Every node a query scans therefore comes
+// straight from decodeBuf, with slab rows matching its entries.
 func (t *Tree) readNodeCached(id storage.PageID) (*node, error) {
-	if t.ncache == nil {
-		return t.readNode(id)
-	}
-	if n := t.ncache.get(id); n != nil {
-		return n, nil
+	if t.ncache != nil {
+		if n := t.ncache.get(id); n != nil {
+			return n, nil
+		}
 	}
 	n, err := t.readNode(id)
 	if err != nil {
 		return nil, err
 	}
 	n.cacheAreas()
-	t.ncache.put(id, n)
+	if t.ncache != nil {
+		t.ncache.put(id, n)
+	}
 	return n, nil
 }
 
@@ -707,10 +710,7 @@ func (t *Tree) insertRec(n *node, e entry, targetLevel int) (*node, error) {
 		// page even without gaining an entry.
 		if t.opts.ForcedReinsert {
 			n.entries[idx] = child.parentEntry(t.opts.SignatureLength)
-			n.dropSlab()
 		} else {
-			// Merge writes through the entry view into the slab row, so
-			// the slab stays coherent on this path.
 			n.entries[idx].sig.Merge(e.sig)
 			if e.lo < n.entries[idx].lo {
 				n.entries[idx].lo = e.lo
@@ -730,7 +730,6 @@ func (t *Tree) insertRec(n *node, e entry, targetLevel int) (*node, error) {
 	// The child split: recompute its cover and add an entry for the sibling.
 	n.entries[idx] = child.parentEntry(t.opts.SignatureLength)
 	n.entries = append(n.entries, right.parentEntry(t.opts.SignatureLength))
-	n.dropSlab()
 	if t.overflows(n) {
 		return t.splitNode(n)
 	}

@@ -58,10 +58,6 @@ func TestBannedAPI(t *testing.T) {
 	linttest.Run(t, lint.NewBannedAPI(rules), "bannedapi")
 }
 
-func TestSlabCoherence(t *testing.T) {
-	linttest.Run(t, lint.SlabCoherence, "slabcoherence")
-}
-
 func TestEpochContract(t *testing.T) {
 	linttest.Run(t, lint.EpochContract, "epochcontract")
 }

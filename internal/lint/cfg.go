@@ -6,7 +6,7 @@ import (
 )
 
 // Control-flow graph and dataflow solver for the flow-sensitive analyzers
-// (slabcoherence, replfence). The CFG is block-level over go/ast: each
+// (replfence). The CFG is block-level over go/ast: each
 // basic block holds the statements (and branch-condition expressions)
 // that execute straight-line, and edges follow if/for/range/switch/
 // select/return/break/continue/goto/panic structure. Function literals

@@ -170,7 +170,6 @@ func All() []*Analyzer {
 		SnapshotLife,
 		AtomicCounter,
 		NewBannedAPI(DefaultBannedRules()),
-		SlabCoherence,
 		EpochContract,
 		ReplFence,
 		CtxFlow,

@@ -1,83 +1,10 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
-// Interprocedural plumbing for the dataflow analyzers: mapping call-site
-// arguments onto callee parameters (so per-function summaries computed to
-// fixpoint can transfer facts across calls — slabcoherence's "drops the
-// slab of its receiver" / "writes its node parameter" bits), and
-// call-graph closures (epochcontract's "is on the rebuild path", ctxflow's
-// "is reachable from a context-carrying entry point").
-
-// recvParam is the parameter index used for a method's receiver.
-const recvParam = -1
-
-// paramIndexes maps each parameter object of a declared function to its
-// index: recvParam for the receiver, then 0.. for the ordinary
-// parameters. Literals have no summary-relevant parameters here.
-func paramIndexes(pkg *Package, fi *funcInfo) map[types.Object]int {
-	idx := map[types.Object]int{}
-	if fi.decl == nil {
-		return idx
-	}
-	if fi.decl.Recv != nil {
-		for _, f := range fi.decl.Recv.List {
-			for _, name := range f.Names {
-				if obj := pkg.TypesInfo.Defs[name]; obj != nil {
-					idx[obj] = recvParam
-				}
-			}
-		}
-	}
-	i := 0
-	for _, f := range fi.decl.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++ // unnamed parameter still occupies a position
-			continue
-		}
-		for _, name := range f.Names {
-			if obj := pkg.TypesInfo.Defs[name]; obj != nil {
-				idx[obj] = i
-			}
-			i++
-		}
-	}
-	return idx
-}
-
-// paramOf resolves e to a parameter index of the enclosing function when
-// e is a plain use of one of its parameters, or (0, false).
-func paramOf(pkg *Package, params map[types.Object]int, e ast.Expr) (int, bool) {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj := pkg.TypesInfo.Uses[id]
-	if obj == nil {
-		return 0, false
-	}
-	i, ok := params[obj]
-	return i, ok
-}
-
-// callArgs maps one resolved call site onto (param index -> argument
-// expression) of the callee: the receiver expression lands on recvParam,
-// positional arguments on 0.. (variadic tails all map to the last
-// parameter's index, which is precise enough for the contract functions —
-// none are variadic).
-func callArgs(call *ast.CallExpr) map[int]ast.Expr {
-	args := map[int]ast.Expr{}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		args[recvParam] = sel.X
-	}
-	for i, a := range call.Args {
-		args[i] = a
-	}
-	return args
-}
+// Interprocedural plumbing for the dataflow analyzers: call-graph
+// closures (epochcontract's "is on the rebuild path", ctxflow's "is
+// reachable from a context-carrying entry point").
 
 // closureFrom returns every function reachable from roots through the
 // package call graph (including the roots themselves and the implicit
@@ -137,24 +64,6 @@ func callsTransitively(g *packageGraph, direct func(fi *funcInfo) bool) map[*fun
 	return hits
 }
 
-// typeOf resolves e's type like types.Info.TypeOf: through the Types map
-// for general expressions, falling back to Defs/Uses for identifiers —
-// idents in define position (`n, err := ...`) have no Types entry.
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
 // hasMethodNamed reports whether named (or *named) has a method with the
 // given name, declared directly or promoted.
 func hasMethodNamed(t types.Type, name string) bool {
@@ -165,19 +74,4 @@ func hasMethodNamed(t types.Type, name string) bool {
 	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), name)
 	_, ok := obj.(*types.Func)
 	return ok
-}
-
-// fieldNamed returns the struct field of named's underlying struct with
-// the given name, or nil.
-func fieldNamed(named *types.Named, name string) *types.Var {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == name {
-			return st.Field(i)
-		}
-	}
-	return nil
 }

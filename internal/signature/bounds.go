@@ -78,7 +78,7 @@ func MinDist(m Metric, q, e Signature) float64 {
 //
 // Every intermediate quantity here is an integer, so any algebraically
 // equal way of producing x and qa (|q\e| = qa−x, |q∪e| = qa+ta−x, …) yields
-// bit-identical float64 results; the slab and per-entry paths therefore
+// bit-identical float64 results; the slab scans and MinDist therefore
 // agree exactly, which the differential harness asserts.
 //
 //sglint:hotpath
@@ -154,78 +154,6 @@ func DistanceFromIntersect(m Metric, x, qa, ta int) float64 {
 		//sglint:alloc panic message on the unreachable unknown-metric arm
 		panic("signature: unknown metric")
 	}
-}
-
-// HammingPruneLimit converts a float64 pruning threshold into the smallest
-// integer count that already fails it: with strict semantics (survive iff
-// d < thr) any count >= ceil(thr) fails; with inclusive semantics (survive
-// iff d <= thr) any count >= floor(thr)+1 fails. A +Inf threshold never
-// fails (MaxInt), so the kernels degenerate to full counts.
-//
-// For any exact integer count c >= 0 and any thr, the equivalence
-//
-//	c >= HammingPruneLimit(thr, strict)  ⟺  fails(float64(c), thr, strict)
-//
-// holds (including thr < 0, where the limit is clamped to 0 so limit <= 0
-// short-circuits to "prunable", and thr = +Inf, where no finite count
-// reaches MaxInt). Callers that batch exact counts — the slab scans in
-// internal/core — rely on this to recover per-entry prunability from the
-// counts alone, with verdicts identical to the fused *AtLeast kernels.
-//
-//sglint:hotpath
-func HammingPruneLimit(thr float64, strict bool) int {
-	if math.IsInf(thr, 1) {
-		return math.MaxInt
-	}
-	if thr < 0 {
-		return 0
-	}
-	if strict {
-		return int(math.Ceil(thr))
-	}
-	return int(math.Floor(thr)) + 1
-}
-
-// MinDistWithin is MinDist fused with the pruning test. It returns the
-// lower bound d and whether the entry is prunable under threshold thr:
-// prunable means the true bound fails the test (d > thr inclusive, d >= thr
-// strict), so the subtree under e cannot contain a surviving result. For
-// Hamming without auxiliary statistics the popcount loop aborts as soon as
-// the running count proves prunability — in that case the returned d is a
-// clamped lower bound (>= HammingPruneLimit(thr, strict)) rather than the exact
-// value; since bounds on pruned entries are only reported to observers,
-// search results are unaffected. When prunable is false, d is always exact.
-func MinDistWithin(m Metric, q, e Signature, thr float64, strict bool) (float64, bool) {
-	if m == Hamming {
-		c, reached := q.Bitset.AndNotCountAtLeast(e.Bitset, HammingPruneLimit(thr, strict))
-		return float64(c), reached
-	}
-	d := MinDist(m, q, e)
-	return d, fails(d, thr, strict)
-}
-
-// DistanceWithin is Distance fused with an acceptance test: it returns the
-// distance d and whether the candidate fails threshold thr (d > thr
-// inclusive, d >= thr strict). For Hamming the XOR popcount aborts once
-// failure is proven — the returned d is then a clamped lower bound; when
-// failed is false, d is the exact distance (candidates that survive are
-// always measured fully, so accepted results carry exact distances).
-func DistanceWithin(m Metric, q, t Signature, thr float64, strict bool) (float64, bool) {
-	if m == Hamming {
-		c, reached := q.Bitset.HammingAtLeast(t.Bitset, HammingPruneLimit(thr, strict))
-		return float64(c), reached
-	}
-	d := Distance(m, q, t)
-	return d, fails(d, thr, strict)
-}
-
-// fails reports whether distance d fails threshold thr under the chosen
-// comparison semantics.
-func fails(d, thr float64, strict bool) bool {
-	if strict {
-		return d >= thr
-	}
-	return d > thr
 }
 
 // MinDistCardRange returns a lower bound on Distance(m, q, t) over all

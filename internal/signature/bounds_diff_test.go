@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Differential harness for the fused bound/distance layer: every fused or
-// batched form must agree with a bit-by-bit oracle that evaluates the
+// Differential harness for the bound/distance layer: every full and
+// finisher form must agree with a bit-by-bit oracle that evaluates the
 // Section 4 definitions literally, bit positions one at a time. This is the
 // signature-level arm of the kernel correctness protocol (the word-level
 // arm lives in internal/bitset).
@@ -62,9 +62,8 @@ func oracleDistance(m Metric, q, t Signature) float64 {
 
 var allMetrics = []Metric{Hamming, Jaccard, Dice, Cosine}
 
-// diffCheckPair cross-checks every bound/distance form on one (q, e) pair
-// and a threshold.
-func diffCheckPair(t *testing.T, q, e Signature, thr float64, strict bool) {
+// diffCheckPair cross-checks every bound/distance form on one (q, e) pair.
+func diffCheckPair(t *testing.T, q, e Signature) {
 	t.Helper()
 	inter, qOnly, _ := oracleSets(q, e)
 	qa, ea := q.Area(), e.Area()
@@ -93,29 +92,6 @@ func diffCheckPair(t *testing.T, q, e Signature, thr float64, strict bool) {
 			t.Errorf("%v MinDist %v exceeds distance-to-cover %v", m, wantMD, want)
 		}
 
-		// Fused forms: verdicts must match the unfused computation, and
-		// surviving values must be exact.
-		d, prunable := MinDistWithin(m, q, e, thr, strict)
-		if wantPrune := fails(wantMD, thr, strict); prunable != wantPrune {
-			t.Errorf("%v MinDistWithin(thr=%v,strict=%v) prunable=%v, want %v (bound %v)", m, thr, strict, prunable, wantPrune, wantMD)
-		}
-		if !prunable && d != wantMD {
-			t.Errorf("%v MinDistWithin surviving bound = %v, want exact %v", m, d, wantMD)
-		}
-		if prunable && d > wantMD {
-			// A clamped Hamming bound stops in [limit, exact]; it must
-			// never exceed the exact bound (non-Hamming metrics always
-			// return the exact value).
-			t.Errorf("%v MinDistWithin clamped bound %v exceeds exact %v", m, d, wantMD)
-		}
-
-		dd, failed := DistanceWithin(m, q, e, thr, strict)
-		if wantFail := fails(want, thr, strict); failed != wantFail {
-			t.Errorf("%v DistanceWithin(thr=%v,strict=%v) failed=%v, want %v (distance %v)", m, thr, strict, failed, wantFail, want)
-		}
-		if !failed && dd != want {
-			t.Errorf("%v DistanceWithin accepted distance = %v, want exact %v", m, dd, want)
-		}
 	}
 
 	// Cardinality-statistics bounds: the FromIntersect finisher must match
@@ -139,38 +115,15 @@ func diffCheckPair(t *testing.T, q, e Signature, thr float64, strict bool) {
 	}
 }
 
-// TestHammingPruneLimitEquivalence pins the equivalence the slab scans rely
-// on: for exact integer counts, comparing against HammingPruneLimit is the
-// same predicate as fails(float64(c), thr, strict).
-func TestHammingPruneLimitEquivalence(t *testing.T) {
-	thrs := []float64{math.Inf(1), -1, -0.5, 0, 0.25, 0.999, 1, 1.5, 2, 63, 64, 64.0001, 1e9}
-	for _, thr := range thrs {
-		for _, strict := range []bool{true, false} {
-			limit := HammingPruneLimit(thr, strict)
-			for c := 0; c <= 130; c++ {
-				byLimit := c >= limit
-				byFloat := fails(float64(c), thr, strict)
-				if byLimit != byFloat {
-					t.Fatalf("thr=%v strict=%v c=%d: limit-test %v, float-test %v (limit=%d)",
-						thr, strict, c, byLimit, byFloat, limit)
-				}
-			}
-		}
-	}
-}
-
 // FuzzKernelEquivalence is the signature-level differential fuzz: arbitrary
-// bit patterns and thresholds, every metric, fused and batched forms versus
-// the bit-by-bit oracle.
+// bit patterns, every metric, full and finisher forms versus the bit-by-bit
+// oracle.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add([]byte{0xFF, 0x0F}, []byte{0xF0, 0xFF}, 2.0, true)
-	f.Add([]byte{}, []byte{}, 0.5, false)
-	f.Add([]byte{0x01}, []byte{0x80, 0x01, 0x02}, math.Inf(1), true)
-	f.Add([]byte{0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA}, []byte{0x55}, -3.0, false)
-	f.Fuzz(func(t *testing.T, qb, eb []byte, thr float64, strict bool) {
-		if math.IsNaN(thr) {
-			return
-		}
+	f.Add([]byte{0xFF, 0x0F}, []byte{0xF0, 0xFF})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0x01}, []byte{0x80, 0x01, 0x02})
+	f.Add([]byte{0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA}, []byte{0x55})
+	f.Fuzz(func(t *testing.T, qb, eb []byte) {
 		// Equalize lengths: signatures under one tree share a length.
 		n := 8 * len(qb)
 		if m := 8 * len(eb); m > n {
@@ -193,13 +146,13 @@ func FuzzKernelEquivalence(f *testing.F) {
 				e.Set(i)
 			}
 		}
-		diffCheckPair(t, q, e, thr, strict)
+		diffCheckPair(t, q, e)
 	})
 }
 
 // TestBoundsDifferentialTable runs diffCheckPair over deterministic edge
 // patterns: empty/full/disjoint/identical signatures at the tail-boundary
-// lengths, with thresholds around the integer boundaries.
+// lengths.
 func TestBoundsDifferentialTable(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 127, 128, 259} {
 		empty := New(n)
@@ -216,11 +169,7 @@ func TestBoundsDifferentialTable(t *testing.T) {
 		sigs := []Signature{empty, full, half, single}
 		for _, q := range sigs {
 			for _, e := range sigs {
-				for _, thr := range []float64{math.Inf(1), 0, 0.5, 1, float64(n / 2), float64(n)} {
-					for _, strict := range []bool{true, false} {
-						diffCheckPair(t, q, e, thr, strict)
-					}
-				}
+				diffCheckPair(t, q, e)
 			}
 		}
 	}
