@@ -15,7 +15,7 @@ STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 BENCHSTAT_VERSION ?= latest
 
-.PHONY: build test perfbench-test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-json bench-kernels bench-throughput bench-recall server-smoke
+.PHONY: build test perfbench-test vet race crash fuzz check fmt lint lint-fix-list staticcheck vuln tools bench bench-json bench-kernels bench-decode bench-throughput bench-recall server-smoke
 
 build:
 	$(GO) build ./...
@@ -53,12 +53,14 @@ crash:
 server-smoke:
 	sh scripts/server_smoke.sh
 
-# Short fuzz passes over every fuzz target (codec decoding, dataset
-# parsing, WAL replay, and the two arms of the kernel differential
-# harness — word-level in bitset, metric-level in signature). Each target
-# needs its own invocation: go test accepts a single -fuzz pattern per run.
+# Short fuzz passes over every fuzz target (codec decoding and the fast
+# decoder against its reference loop, dataset parsing, WAL replay, and
+# the two arms of the kernel differential harness — word-level in bitset,
+# metric-level in signature). Each target needs its own invocation: go
+# test accepts a single -fuzz pattern per run.
 fuzz:
 	$(GO) test -fuzz FuzzCodecDecode -fuzztime 5s -run '^$$' ./internal/signature
+	$(GO) test -fuzz FuzzDecodeIntoDifferential -fuzztime 5s -run '^$$' ./internal/signature
 	$(GO) test -fuzz FuzzReadDataset -fuzztime 5s -run '^$$' ./internal/dataset
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 5s -run '^$$' ./internal/storage
 	$(GO) test -fuzz FuzzKernelEquivalence -fuzztime 5s -run '^$$' ./internal/bitset
@@ -147,6 +149,16 @@ else
 		echo "benchstat not installed; skipping baseline comparison"; \
 	fi
 endif
+
+# The node-miss micro-benchmark lane (report-only): the sparse and dense
+# signature decode of one Quest-like 1000-bit signature, a steady-state
+# buffer-pool miss, and one query-path node read that misses both the
+# decoded-node cache and the buffer pool. Together they price what a
+# node-cache miss costs; -benchmem shows the allocations per miss.
+bench-decode:
+	$(GO) test -bench 'CodecDecode(Sparse|Dense)$$' -benchmem -benchtime 300ms -count $(BENCH_COUNT) -run '^$$' ./internal/signature
+	$(GO) test -bench 'BufferPoolMiss$$' -benchmem -benchtime 300ms -count $(BENCH_COUNT) -run '^$$' ./internal/storage
+	$(GO) test -bench 'ReadNodeMiss$$' -benchmem -benchtime 300ms -count $(BENCH_COUNT) -run '^$$' ./internal/core
 
 # Refresh the checked-in throughput reports (used to track QPS between
 # revisions; see BENCH_throughput_w{1,4,8,16}.json). The worker sweep

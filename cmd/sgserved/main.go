@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	role := "primary"
@@ -97,6 +97,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "sgserved: stopped")
 	return 0
+}
+
+// Connection timeouts of the served HTTP endpoint.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a slow or stalled client cannot hold a
+	// connection (and its goroutine) open indefinitely.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections that carry no request
+	// for this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's http.Server with header-read and
+// idle timeouts. It sets no WriteTimeout (nor ReadTimeout, which would
+// cap body upload time): a long scatter-gather query must not be cut off
+// mid-response; a query stops when its client goes away, through the
+// request context the handlers pass down.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // probe issues one request and mirrors the response to stdout.

@@ -9,6 +9,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -337,17 +338,16 @@ func (b *Bitset) SetBytes(src []byte) {
 	if len(src) != (b.n+7)/8 {
 		panic(fmt.Sprintf("bitset: SetBytes got %d bytes for %d bits", len(src), b.n))
 	}
-	for wi := range b.words {
+	full := len(src) / 8
+	for wi := 0; wi < full; wi++ {
+		b.words[wi] = binary.LittleEndian.Uint64(src[wi*8:])
+	}
+	if full < len(b.words) {
 		var w uint64
-		base := wi * 8
-		m := len(src) - base
-		if m > 8 {
-			m = 8
+		for j, x := range src[full*8:] {
+			w |= uint64(x) << (8 * uint(j))
 		}
-		for j := 0; j < m; j++ {
-			w |= uint64(src[base+j]) << (8 * uint(j))
-		}
-		b.words[wi] = w
+		b.words[full] = w
 	}
 	b.clampTail()
 }

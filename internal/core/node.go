@@ -58,11 +58,12 @@ func (e *entry) ref(leaf bool) uint32 {
 // pages the node occupied when it was read (reused and trimmed on write).
 //
 // Decoding lays all entry signatures out in one contiguous []uint64 slab
-// (see decodeBuf), so a freshly read node costs three allocations however
-// many entries it has and the entry-scan loops of the query algorithms walk
-// adjacent memory. Entries appended later by update paths (splits, merges)
-// carry their own independently allocated signatures; the two kinds mix
-// freely because every entry's signature is self-describing.
+// (see decodeBuf), so a freshly read node costs five allocations however
+// many entries it has (the node, its entries, the view headers, the slab
+// and the area cache) and the entry-scan loops of the query algorithms
+// walk adjacent memory. Entries appended later by update paths (splits,
+// merges) carry their own independently allocated signatures; the two
+// kinds mix freely because every entry's signature is self-describing.
 type node struct {
 	id      storage.PageID
 	leaf    bool
@@ -70,10 +71,11 @@ type node struct {
 	entries []entry
 	cont    []storage.PageID
 
-	// areas caches each entry's signature area (popcount). The query-path
-	// read (readNodeCached) fills it on every fresh decode, so every node a
-	// traversal sees carries it; it stays nil on the mutable nodes the
-	// update paths decode privately.
+	// areas caches each entry's signature area (popcount), filled by
+	// decodeBuf as it decodes each row, so every node a traversal sees
+	// carries it. Like the slab it describes the node as decoded: update
+	// paths that mutate their private copies let it go stale and never
+	// read it.
 	areas []int
 
 	// slab is the decoded entry signatures as a structure-of-arrays matrix:
@@ -100,15 +102,6 @@ func slabStrideFor(words int) int {
 		return 4
 	}
 	return (words + 7) &^ 7
-}
-
-// cacheAreas populates the per-entry area cache. Only the query-path read
-// calls it, on a fresh decode.
-func (n *node) cacheAreas() {
-	n.areas = make([]int, len(n.entries))
-	for i := range n.entries {
-		n.areas[i] = n.entries[i].sig.Area()
-	}
 }
 
 // nodeLayout bundles everything needed to serialize nodes: the signature
@@ -200,8 +193,9 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 	}
 	n.entries = make([]entry, count)
 	// One contiguous word slab and one view-header slab back every entry
-	// signature: 3 allocations per node instead of 2 per entry, and the
-	// scan loops of bound/compare touch sequential memory. The slab is laid
+	// signature: a fixed 5 allocations per node (node, entries, views,
+	// slab, areas) instead of 2 per entry, and the scan loops of
+	// bound/compare touch sequential memory. The slab is laid
 	// out with a padded, cache-line-aligned row stride (see the node.slab
 	// field) so the batched kernels can process whole nodes; padding words
 	// start zero (AlignedWords zeroes) and stay zero because the entry
@@ -210,6 +204,9 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 	stride := slabStrideFor(words)
 	slab := bitset.AlignedWords(count * stride)
 	views := make([]bitset.Bitset, count)
+	// Each row's area is counted right after its decode, while the row is
+	// still in L1, instead of in a second pass over the slab.
+	areas := make([]int, count)
 	pos := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		views[i] = bitset.View(slab[i*stride:i*stride+words], l.codec.Length)
@@ -219,6 +216,7 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 			return nil, fmt.Errorf("core: node %d entry %d: %w", id, i, err)
 		}
 		pos += used
+		areas[i] = views[i].Count()
 		if pos+entryRefSize > len(buf) {
 			return nil, fmt.Errorf("core: node %d entry %d: truncated ref", id, i)
 		}
@@ -241,6 +239,7 @@ func (l nodeLayout) decodeBuf(id storage.PageID, buf []byte) (*node, error) {
 	}
 	n.slab = slab
 	n.slabStride = stride
+	n.areas = areas
 	return n, nil
 }
 

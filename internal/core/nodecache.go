@@ -33,13 +33,14 @@ import (
 //     (update rollback, DropCaches) is a single atomic increment; stale
 //     entries are recognized lazily on lookup and evicted.
 //
-// Hits and misses are surfaced through Tree.Counters as NodeCacheHits /
-// NodeCacheMisses.
+// Hits, misses and LRU evictions are surfaced through Tree.Counters as
+// NodeCacheHits / NodeCacheMisses / NodeCacheEvictions.
 type nodeCache struct {
-	epoch  atomic.Uint64
-	hits   atomic.Int64
-	misses atomic.Int64
-	shards [nodeCacheShards]nodeCacheShard
+	epoch     atomic.Uint64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+	shards    [nodeCacheShards]nodeCacheShard
 }
 
 const nodeCacheShards = 8
@@ -109,31 +110,36 @@ func (c *nodeCache) get(id storage.PageID) *node {
 		c.misses.Add(1)
 		return nil
 	}
+	n := cn.n
 	s.lru.MoveToFront(el)
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return cn.n
+	return n
 }
 
-// put publishes a freshly decoded node, evicting the least recently used
-// entry of the shard when full. Concurrent readers may race to fill the
-// same slot; last writer wins and the loser's decode is simply garbage.
+// put publishes a freshly decoded node. A full shard evicts its least
+// recently used entry and reuses that entry's list element for the new
+// node, so a miss on a full cache allocates only the decode itself.
+// Concurrent readers may race to fill the same slot; last writer wins and
+// the loser's decode is simply garbage. Cached entries are only read
+// under the shard lock, so overwriting one in place is safe.
 func (c *nodeCache) put(id storage.PageID, n *node) {
 	s := c.shard(id)
 	epoch := c.epoch.Load()
 	s.mu.Lock()
-	if el, ok := s.m[id]; ok {
-		el.Value = &cachedNode{id: id, epoch: epoch, n: n}
+	el, ok := s.m[id]
+	if !ok && s.lru.Len() >= s.cap {
+		el = s.lru.Back()
+		delete(s.m, el.Value.(*cachedNode).id)
+		s.m[id] = el
+		c.evictions.Add(1)
+	}
+	if el != nil {
+		*el.Value.(*cachedNode) = cachedNode{id: id, epoch: epoch, n: n}
 		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return
+	} else {
+		s.m[id] = s.lru.PushFront(&cachedNode{id: id, epoch: epoch, n: n})
 	}
-	for s.lru.Len() >= s.cap {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.m, back.Value.(*cachedNode).id)
-	}
-	s.m[id] = s.lru.PushFront(&cachedNode{id: id, epoch: epoch, n: n})
 	s.mu.Unlock()
 }
 
@@ -157,10 +163,11 @@ func (c *nodeCache) invalidateAll() {
 	c.epoch.Add(1)
 }
 
-// resetStats zeroes the hit/miss counters.
+// resetStats zeroes the hit/miss/eviction counters.
 func (c *nodeCache) resetStats() {
 	c.hits.Store(0)
 	c.misses.Store(0)
+	c.evictions.Store(0)
 }
 
 // len returns the number of live cached nodes (stale-epoch entries still

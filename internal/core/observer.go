@@ -164,6 +164,11 @@ type Counters struct {
 	// the cache is disabled (Options.NodeCacheSize < 0).
 	NodeCacheHits   int64
 	NodeCacheMisses int64
+	// NodeCacheEvictions counts decoded nodes dropped from a full cache
+	// to make room for a fresh decode. A steadily climbing value means the
+	// working set exceeds Options.NodeCacheSize and queries are paying
+	// decode misses on nodes they had already read.
+	NodeCacheEvictions int64
 
 	// WAL activity of the tree's buffer pool, all zero when the tree runs
 	// without a write-ahead log. These are cumulative (not per-query): a
@@ -192,6 +197,7 @@ func (t *Tree) Counters() Counters {
 	if t.ncache != nil {
 		c.NodeCacheHits = t.ncache.hits.Load()
 		c.NodeCacheMisses = t.ncache.misses.Load()
+		c.NodeCacheEvictions = t.ncache.evictions.Load()
 	}
 	return c
 }

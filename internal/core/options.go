@@ -90,8 +90,9 @@ type Options struct {
 	// one-page-access-per-node-visit behaviour the paper's I/O experiments
 	// assume (see also Tree.DropCaches).
 	NodeCacheSize int
-	// Split selects the split policy (default MinSplit, the policy the
-	// paper adopts after the Table 1 comparison).
+	// Split selects the split policy. The zero value is QSplit; MinSplit,
+	// the policy the paper adopts after the Table 1 comparison, must be
+	// set explicitly.
 	Split SplitPolicy
 	// Choose selects the ChooseSubtree heuristic (default MinEnlargement).
 	Choose ChoosePolicy

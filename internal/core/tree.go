@@ -373,8 +373,8 @@ func (t *Tree) Refresh() error {
 // L page accesses, which is how multipage nodes show up in the I/O metric.
 
 // readNodeCached is the query-path node read: it consults the decoded-node
-// cache before falling back to readNode, and publishes fresh decodes with
-// their area cache filled (with or without a node cache). The returned
+// cache before falling back to readNode, and publishes fresh decodes (whose
+// area cache decodeBuf has already filled) to the cache. The returned
 // node may be shared by concurrent queries and MUST NOT be mutated —
 // update paths use readNode directly, which always hands out a private
 // copy they may modify in place. Every node a query scans therefore comes
@@ -389,7 +389,6 @@ func (t *Tree) readNodeCached(id storage.PageID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.cacheAreas()
 	if t.ncache != nil {
 		t.ncache.put(id, n)
 	}

@@ -122,13 +122,14 @@ func percentile(sorted []float64, p float64) float64 {
 // /stats JSON document.
 
 type cacheStats struct {
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	HitRate   float64 `json:"hit_rate"`
+	Evictions int64   `json:"evictions"`
 }
 
-func cacheOf(hits, misses int64) cacheStats {
-	cs := cacheStats{Hits: hits, Misses: misses}
+func cacheOf(hits, misses, evictions int64) cacheStats {
+	cs := cacheStats{Hits: hits, Misses: misses, Evictions: evictions}
 	if hits+misses > 0 {
 		cs.HitRate = float64(hits) / float64(hits+misses)
 	}
@@ -196,8 +197,8 @@ func shardStatsOf(ix *sgtree.Index) ShardStats {
 		EntriesPruned: c.EntriesPruned,
 		DataCompared:  c.DataCompared,
 		Cancellations: c.Cancellations,
-		BufferPool:    cacheOf(ps.Hits, ps.Misses),
-		NodeCache:     cacheOf(c.NodeCacheHits, c.NodeCacheMisses),
+		BufferPool:    cacheOf(ps.Hits, ps.Misses, ps.Evictions),
+		NodeCache:     cacheOf(c.NodeCacheHits, c.NodeCacheMisses, c.NodeCacheEvictions),
 		WALRecords:    c.WALRecords,
 		WALCommits:    c.WALCommits,
 	}

@@ -128,9 +128,13 @@ func (c Codec) Decode(buf []byte) (Signature, int, error) {
 // DecodeInto reads one encoded signature from buf into the preallocated
 // signature s (which must have length c.Length), returning the number of
 // bytes consumed. It performs no allocation: the dense form is copied
-// straight into s's backing words and the sparse form is replayed with
-// Reset+Set. This is the hot decode path — node loading decodes every
-// entry into one contiguous slab of views.
+// straight into s's backing words a word at a time, and the sparse form
+// ORs each position straight into them. This is the hot decode path —
+// node loading decodes every entry into one contiguous slab of views — so
+// the sparse loop reads the 1- and 2-byte varint forms inline (every
+// position gap below 16384 bits) and leaves binary.Uvarint to the longer
+// forms and to truncated input. The accepted inputs, consumed lengths and
+// error verdicts are exactly those of a plain binary.Uvarint + Set loop.
 func (c Codec) DecodeInto(buf []byte, s Signature) (int, error) {
 	if s.Len() != c.Length {
 		return 0, fmt.Errorf("signature: decode into length %d, codec length %d", s.Len(), c.Length)
@@ -156,24 +160,37 @@ func (c Codec) DecodeInto(buf []byte, s Signature) (int, error) {
 		if count > uint64(c.Length) {
 			return 0, fmt.Errorf("signature: sparse count %d exceeds length %d", count, c.Length)
 		}
-		s.Reset()
-		cur := 0
+		words := s.Words()
+		clear(words)
+		length := uint64(c.Length)
+		cur := uint64(0)
 		for i := uint64(0); i < count; i++ {
-			delta, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return 0, fmt.Errorf("signature: truncated sparse position %d", i)
+			var delta uint64
+			switch {
+			case pos < len(buf) && buf[pos] < 0x80:
+				delta = uint64(buf[pos])
+				pos++
+			case pos+1 < len(buf) && buf[pos+1] < 0x80:
+				delta = uint64(buf[pos]&0x7f) | uint64(buf[pos+1])<<7
+				pos += 2
+			default:
+				d, n := binary.Uvarint(buf[pos:])
+				if n <= 0 {
+					return 0, fmt.Errorf("signature: truncated sparse position %d", i)
+				}
+				delta = d
+				pos += n
 			}
-			pos += n
 			// Check the delta before adding: a huge value could overflow
-			// the int accumulator and bypass the range check below.
-			if delta > uint64(c.Length) {
+			// the accumulator and bypass the range check below.
+			if delta > length {
 				return 0, fmt.Errorf("signature: sparse delta %d out of range", delta)
 			}
-			cur += int(delta)
-			if cur >= c.Length {
+			cur += delta
+			if cur >= length {
 				return 0, fmt.Errorf("signature: sparse position %d out of range", cur)
 			}
-			s.Set(cur)
+			words[cur>>6] |= 1 << (cur & 63)
 		}
 		return pos, nil
 	default:

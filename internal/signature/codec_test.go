@@ -195,13 +195,42 @@ func BenchmarkCodecAppendSparse(b *testing.B) {
 	}
 }
 
+// questLikeSig returns a length-1000 signature with 10 items spread like a
+// Quest T10 transaction over a 1000-item universe: sorted random
+// positions whose gaps (about 100 on average) need 1- and 2-byte varints.
+func questLikeSig() Signature {
+	rng := rand.New(rand.NewSource(1))
+	return FromItems(NewDirectMapper(1000), rng.Perm(1000)[:10])
+}
+
+// BenchmarkCodecDecodeSparse measures the node-loading decode of one
+// sparse Quest-like signature into a preallocated signature.
 func BenchmarkCodecDecodeSparse(b *testing.B) {
-	c := Codec{Length: 512}
-	s := FromItems(NewDirectMapper(512), []int{1, 50, 100, 200, 300, 400, 500})
-	buf := c.Append(nil, s)
+	c := Codec{Length: 1000}
+	buf := c.Append(nil, questLikeSig())
+	if buf[0] != tagSparse {
+		b.Fatal("signature did not encode sparse")
+	}
+	s := New(c.Length)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Decode(buf); err != nil {
+		if _, err := c.DecodeInto(buf, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCodecDecodeDense is BenchmarkCodecDecodeSparse for the raw
+// bitmap form (uncompressed trees).
+func BenchmarkCodecDecodeDense(b *testing.B) {
+	c := Codec{Length: 1000, ForceDense: true}
+	buf := c.Append(nil, questLikeSig())
+	s := New(c.Length)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.DecodeInto(buf, s); err != nil {
 			b.Fatal(err)
 		}
 	}

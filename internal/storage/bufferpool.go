@@ -217,12 +217,39 @@ func (b *BufferPool) NewPage() (PageID, []byte, error) {
 	return id, f.data, nil
 }
 
-// admit finds room for a new frame for id, evicting if needed. Caller holds mu.
+// admit finds a frame for id, evicting if needed. Caller holds mu. The
+// returned frame is unpinned, clean, most recently used, and its buffer
+// holds stale bytes: every caller overwrites the whole page before anyone
+// else can see it (get reads the page into it, NewPage zeroes it,
+// restorePage copies a full pre-image over it).
+//
+// A full shard hands its LRU victim's frame — struct, list element and
+// page buffer — straight to id, so a steady-state miss allocates nothing.
+// Recycling the buffer is safe because a victim has no pins, and a page
+// buffer is only ever referenced while pinned: Get's contract is that the
+// slice is valid until Unpin, and every holder copies out before then —
+// the tree's node and meta reads (internal/core/tree.go: decodeMeta,
+// readNode's decodeBuf and chain assembly) decode or append the bytes
+// into their own memory, the SG-table's bucket scans
+// (internal/sgtable/table.go) decode entries into fresh signatures, and
+// both write by filling the pinned frame and unpinning it.
+// Inside the pool, captureUndo copies the pinned frame into a fresh
+// pre-image, walWrite and commit hand the frame to the pager and the WAL,
+// which copy it before returning, and RollbackUndo restores by copying
+// a pre-image into a frame. Frames dropped by Discard, Clear, rollback
+// or a failed read are not recycled; the garbage collector takes them.
 func (s *poolShard) admit(id PageID) (*frame, error) {
-	for len(s.frames) >= s.capacity {
-		if err := s.evictOne(); err != nil {
+	if len(s.frames) >= s.capacity {
+		f, err := s.evictOne()
+		if err != nil {
 			return nil, err
 		}
+		delete(s.frames, f.id)
+		f.id = id
+		f.dirty = false
+		s.lru.MoveToFront(f.elem)
+		s.frames[id] = f
+		return f, nil
 	}
 	f := &frame{id: id, data: make([]byte, s.pager.PageSize())}
 	f.elem = s.lru.PushFront(f)
@@ -230,10 +257,12 @@ func (s *poolShard) admit(id PageID) (*frame, error) {
 	return f, nil
 }
 
-// evictOne drops the least recently used unpinned frame. Caller holds mu.
-// Dirty victims are "stolen": written back before commit, which is safe
-// under a WAL because the write is logged (with its before-image) first.
-func (s *poolShard) evictOne() error {
+// evictOne picks the least recently used unpinned frame as the victim and
+// returns it, still mapped under its old id, for admit to recycle. Caller
+// holds mu. Dirty victims are "stolen": written back before commit, which
+// is safe under a WAL because the write is logged (with its before-image)
+// first.
+func (s *poolShard) evictOne() (*frame, error) {
 	for e := s.lru.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*frame)
 		if f.pins > 0 {
@@ -241,15 +270,14 @@ func (s *poolShard) evictOne() error {
 		}
 		if f.dirty {
 			if err := s.pool.walWrite(f.id, f.data); err != nil {
-				return err
+				return nil, err
 			}
 			s.stats.Writes++
 		}
-		s.dropFrame(f)
 		s.stats.Evictions++
-		return nil
+		return f, nil
 	}
-	return fmt.Errorf("storage: buffer pool shard of %d pages exhausted (all pinned)", s.capacity)
+	return nil, fmt.Errorf("storage: buffer pool shard of %d pages exhausted (all pinned)", s.capacity)
 }
 
 // walWrite writes one page image to the pager, appending (and syncing) a

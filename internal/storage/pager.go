@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // PageID identifies a page within a pager. Zero is never a valid data page
@@ -59,15 +60,18 @@ type PagerStats struct {
 
 // MemPager is an in-memory pager. It is the default substrate for tests and
 // benchmarks: physical I/O is simulated, so the buffer pool's miss counters
-// measure exactly what the paper's random-I/O plots measure. Reads take a
-// shared lock so concurrent queries through a sharded buffer pool scale.
+// measure exactly what the paper's random-I/O plots measure. Reads take only
+// a shared lock so concurrent queries through a sharded buffer pool scale.
 type MemPager struct {
 	mu       sync.RWMutex
 	pageSize int
 	pages    map[PageID][]byte
 	next     PageID
 	free     []PageID
-	stats    PagerStats
+	stats    PagerStats // Reads stays zero; Stats fills it from reads
+	// reads counts ReadPage calls atomically, so a read, which otherwise
+	// holds only the shared lock, never takes the exclusive one.
+	reads atomic.Int64
 }
 
 // NewMemPager returns an in-memory pager with the given page size
@@ -117,9 +121,7 @@ func (p *MemPager) ReadPage(id PageID, buf []byte) error {
 	}
 	copy(buf, pg)
 	p.mu.RUnlock()
-	p.mu.Lock()
-	p.stats.Reads++
-	p.mu.Unlock()
+	p.reads.Add(1)
 	return nil
 }
 
@@ -163,7 +165,9 @@ func (p *MemPager) NumPages() int {
 func (p *MemPager) Stats() PagerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats
+	st := p.stats
+	st.Reads = p.reads.Load()
+	return st
 }
 
 // Close is a no-op for the memory pager.

@@ -81,7 +81,9 @@ type Config struct {
 	SignatureLength int
 	// Metric is the search distance (default Hamming).
 	Metric Metric
-	// Split is the node split policy (default MinSplit).
+	// Split is the node split policy. The zero value is QSplit; the paper
+	// recommends MinSplit (see the constants above), which must be set
+	// explicitly.
 	Split SplitPolicy
 	// Choose is the insertion heuristic (default MinEnlargement).
 	Choose ChoosePolicy
